@@ -200,7 +200,7 @@ def test_predict_disabled_overhead(tmp_path):
     probes = 1000
     started = time.perf_counter()
     for _ in range(probes):
-        assert harness.predict_probe(BASES[1], "full_sim") is None
+        assert harness.estimate_probe(BASES[1], "full_sim") is None
     probe_s = (time.perf_counter() - started) / probes
 
     print_header("Prediction tiers: disabled-path overhead")

@@ -38,24 +38,15 @@ from repro.analysis.persistence import (
     resolve_run_cache,
     run_digest,
 )
-from repro.analysis.semcache import (
-    SemanticCache,
-    SemanticCacheConfig,
-    TransferResult,
-    resolve_semcache_config,
-)
-from repro.predict import (
-    PredictConfig,
-    PredictTiers,
-    PredictedResult,
-    resolve_predict_config,
-)
+from repro.analysis.semcache import SemanticCache, SemanticCacheConfig
+from repro.predict import PredictConfig, PredictTiers
 from repro.baselines.first_n import run_first_n_instructions
 from repro.baselines.tbpoint import TBPointSelection, select_tbpoint, simulate_tbpoint
 from repro.core.config import PKAConfig
 from repro.core.pka import KernelSelection, PrincipalKernelAnalysis
 from repro.core.validation import resolve_mode
 from repro.errors import InputValidationError, ReproError, TaskFailureError
+from repro.estimator import CellQuery, EstimatedResult, Estimator, result_source
 from repro.gpu.architectures import GENERATIONS, GPUConfig, VOLTA_V100, get_gpu
 from repro.mlkit import ClusteringCapacityError
 from repro.obs import get_tracer, obs_count, obs_span
@@ -191,17 +182,13 @@ class WorkloadEvaluation:
         memoized in memory only: they are trivial to re-derive and must
         not occupy the persistent store.
 
-        With the semantic cache enabled, a digest miss consults the
-        similarity index before computing.  A transfer answer is
-        memoized **in memory only** — never written through
-        ``put_run`` — so the exact digest cache can never be poisoned by
-        an approximate result; a computed result is additionally
-        *observed* into the index so it can donate to future transfers.
-
-        With the prediction tiers enabled, a semcache miss additionally
-        consults them before falling back to the DES — same in-memory-
-        only memoization contract as a transfer, and every *computed*
-        result additionally feeds the tiers' calibration.
+        With estimators enabled, a digest miss consults the chain
+        (semantic cache, then prediction tiers) before computing.  An
+        estimated answer is memoized **in memory only** — never written
+        through ``put_run`` — so the exact digest cache can never be
+        poisoned by an approximate result; a computed result is
+        additionally *observed* by every estimator, growing the
+        similarity index and the tiers' calibration.
         """
         if key in self._cache:
             obs_count("harness.memo_hits")
@@ -212,26 +199,16 @@ class WorkloadEvaluation:
             digest = self.harness._cell_digest(self, key, gpu, generations)
             result = self.harness.run_cache.get_run(digest)
             if result is None:
-                transfer = self.harness._semcache_consult(self, key, gpu, digest)
-                if transfer is not None:
-                    span.set(source="transfer")
-                    self._cache[key] = transfer
-                    return transfer
-                predicted = self.harness._predict_consult(self, key, gpu, digest)
-                if predicted is not None:
-                    span.set(source="predicted")
-                    self._cache[key] = predicted
-                    return predicted
+                estimate = self.harness._estimate_consult(self, key, gpu, digest)
+                if estimate is not None:
+                    span.set(source=estimate.source)
+                    self._cache[key] = estimate
+                    return estimate
                 span.set(source="computed")
                 result = compute()
                 if result is not None:
                     self.harness.run_cache.put_run(digest, result)
-                    self.harness._semcache_observe(
-                        self, key, gpu, digest, result
-                    )
-                    self.harness._predict_observe(
-                        self, key, gpu, digest, result
-                    )
+                    self.harness._estimate_observe(self, key, gpu, digest, result)
             else:
                 span.set(source="disk_cache")
         self._cache[key] = result
@@ -501,9 +478,7 @@ class EvaluationHarness:
         validation_mode: str = "strict",
         intra_jobs: ExecutionBackend | str | int | None = None,
         semcache: SemanticCacheConfig | bool | None = None,
-        transfer_threshold: float | None = None,
         predict: PredictConfig | bool | None = None,
-        predict_max_bound: float | None = None,
     ) -> None:
         # The default instruction budget is the paper's 1-billion-
         # instruction practice scaled by the same ~7x factor as the
@@ -537,35 +512,61 @@ class EvaluationHarness:
         self._simulators: dict[str, Simulator] = {}
         self._evaluations: dict[str, WorkloadEvaluation] = {}
         self._context_fingerprint: str | None = None
-        #: Similarity-transfer layer above the digest cache (None = off).
-        #: ``semcache`` accepts a full config, or True for defaults;
-        #: ``transfer_threshold`` overrides the coverage radius either way.
-        self._semcache_config = resolve_semcache_config(
-            semcache, transfer_threshold
+        #: The estimator chain between the digest cache and the DES, in
+        #: consult order: the similarity-transfer semantic cache, then
+        #: the prediction tiers (each None = off).  ``semcache`` and
+        #: ``predict`` accept a full config, or True for defaults.
+        context = self.context_fingerprint()
+        if semcache is True:
+            semcache = SemanticCacheConfig()
+        self.semcache = (
+            SemanticCache(semcache, self.run_cache, context) if semcache else None
         )
-        self.semcache: SemanticCache | None = (
-            SemanticCache(
-                self._semcache_config,
-                self.run_cache,
-                context=self.context_fingerprint(),
-            )
-            if self._semcache_config is not None
-            else None
+        if predict is True:
+            predict = PredictConfig()
+        self.predict = (
+            PredictTiers(predict, self.run_cache, context) if predict else None
         )
-        #: Two-tier prediction layer below the semcache (None = off).
-        #: ``predict`` accepts a full config, or True for defaults;
-        #: ``predict_max_bound`` overrides the serving threshold.
-        self._predict_config = resolve_predict_config(
-            predict, predict_max_bound
+
+    @property
+    def estimators(self) -> tuple[Estimator, ...]:
+        """The enabled estimators, in consult order."""
+        return tuple(e for e in (self.semcache, self.predict) if e is not None)
+
+    def spec(self) -> tuple:
+        """Picklable recipe of everything a worker process needs to
+        rebuild an equivalent harness (see :meth:`from_spec`).
+
+        Only portable intra specs (str/int) cross the process boundary; a
+        live backend object stays parent-side and workers fall back to
+        serial intra execution — results are bitwise identical either
+        way.  The tuple is hashable, so workers key their harness cache
+        on it.
+        """
+        return (
+            self.pka.config,
+            self.model_error,
+            self.instruction_budget,
+            self.run_cache.root if isinstance(self.run_cache, RunCache) else None,
+            self.validation_mode,
+            self.intra_jobs if isinstance(self.intra_jobs, (str, int)) else None,
+            self.semcache.config if self.semcache is not None else None,
+            self.predict.config if self.predict is not None else None,
         )
-        self.predict: PredictTiers | None = (
-            PredictTiers(
-                self._predict_config,
-                self.run_cache,
-                context=self.context_fingerprint(),
-            )
-            if self._predict_config is not None
-            else None
+
+    @classmethod
+    def from_spec(cls, spec: tuple) -> "EvaluationHarness":
+        """Rebuild a harness from :meth:`spec` inside a worker process."""
+        config, model_error, budget, cache_root, mode, intra, semcache, predict = spec
+        return cls(
+            config,
+            model_error,
+            budget,
+            cache_dir=cache_root,
+            validation_mode=mode,
+            intra_jobs=intra,
+            semcache=semcache,
+            predict=predict,
         )
 
     def silicon(self, gpu: GPUConfig) -> SiliconExecutor:
@@ -702,7 +703,7 @@ class EvaluationHarness:
         gpu_cfg = gpu if gpu is not None else VOLTA_V100
         return gpu_cfg, ("volta", gpu_cfg.generation)
 
-    # -- semantic cache (similarity transfer) -----------------------------
+    # -- estimator chain ---------------------------------------------------
 
     def _transfer_viable(
         self, evaluation: WorkloadEvaluation, method: str, gpu: GPUConfig
@@ -711,8 +712,8 @@ class EvaluationHarness:
 
         A cell whose DES path would return None (workload does not fit
         the GPU, non-completable full sim, known sim quirks) must not be
-        answered by transfer either — the layers have to agree on what
-        "cannot run" means.
+        answered by an estimator either — the layers have to agree on
+        what "cannot run" means.
         """
         spec = evaluation.spec
         if not evaluation.runs_on(gpu):
@@ -726,176 +727,102 @@ class EvaluationHarness:
             return False
         return True
 
-    def _semcache_consult(
+    def _query(
         self,
         evaluation: WorkloadEvaluation,
-        key: RunKey,
-        gpu: GPUConfig | None,
+        method: str,
+        gpu: GPUConfig,
         digest: str,
-    ) -> TransferResult | None:
-        if self.semcache is None or gpu is None:
-            return None
-        if not self._transfer_viable(evaluation, key.method, gpu):
-            return None
-        return self.semcache.consult(
-            workload=evaluation.spec.name,
-            method=key.method,
-            gpu=gpu,
-            launches=evaluation.launches(gpu.generation),
-            digest=digest,
-        )
-
-    def _semcache_observe(
-        self,
-        evaluation: WorkloadEvaluation,
-        key: RunKey,
-        gpu: GPUConfig | None,
-        digest: str,
-        result: object,
-    ) -> None:
-        if self.semcache is None or gpu is None:
-            return
-        if not isinstance(result, AppRunResult):
-            return
-        self.semcache.observe(
-            workload=evaluation.spec.name,
-            method=key.method,
-            gpu=gpu,
-            launches=evaluation.launches(gpu.generation),
-            digest=digest,
-            result=result,
-        )
-
-    def _predict_consult(
-        self,
-        evaluation: WorkloadEvaluation,
-        key: RunKey,
-        gpu: GPUConfig | None,
-        digest: str,
-    ) -> PredictedResult | None:
-        if self.predict is None or gpu is None:
-            return None
-        if key.method not in self.predict.config.methods:
-            return None
-        if not self._transfer_viable(evaluation, key.method, gpu):
-            return None
-        return self.predict.consult(
-            workload=evaluation.spec.name,
-            method=key.method,
-            gpu=gpu,
-            launches=evaluation.launches(gpu.generation),
-            model_error=self.model_error,
-            digest=digest,
-        )
-
-    def _predict_observe(
-        self,
-        evaluation: WorkloadEvaluation,
-        key: RunKey,
-        gpu: GPUConfig | None,
-        digest: str,
-        result: object,
-    ) -> None:
-        if self.predict is None or gpu is None:
-            return
-        if key.method not in self.predict.config.methods:
-            return
-        if not isinstance(result, AppRunResult):
-            return
-        # Per-group DES ground truth, harvested from the simulator's
-        # full-run memo the compute just populated.  Groups belonging to
-        # other workloads are filtered out by key inside observe().
-        kernel_cycles = self.simulator(gpu).memoized_kernel_cycles()
-        self.predict.observe(
-            workload=evaluation.spec.name,
-            method=key.method,
-            gpu=gpu,
-            launches=evaluation.launches(gpu.generation),
-            model_error=self.model_error,
-            digest=digest,
-            result=result,
-            kernel_cycles=kernel_cycles,
-        )
-
-    def predict_probe(
-        self, workload: str, method: str, gpu: GPUConfig | str | None = None
-    ) -> PredictedResult | None:
-        """Submission-time prediction answer for one cell, or None.
-
-        The serving scheduler calls this after both the digest-cache and
-        transfer probes miss: a :class:`PredictedResult` completes the
-        job without queueing, None escalates to the compute pipeline.
-        No event loop runs either way — at most the workload's launch
-        list is built and priced analytically.
-        """
-        if self.predict is None:
-            return None
-        if method not in self.predict.config.methods:
-            return None
-        evaluation = self.evaluation(workload)
-        if isinstance(gpu, str):
-            gpu = get_gpu(gpu)
-        key = evaluation.cell_key(method, gpu)
-        memoized = evaluation._cache.get(key)
-        if isinstance(memoized, PredictedResult):
-            return memoized
-        if memoized is not None:
-            return None  # a real result exists; other probes serve it
-        gpu_cfg, generations = self._cell_geometry(method, gpu)
-        if gpu_cfg is None or not self._transfer_viable(
-            evaluation, method, gpu_cfg
-        ):
-            return None
-        digest = self._cell_digest(evaluation, key, gpu_cfg, generations)
-        result = self.predict.consult(
+    ) -> CellQuery:
+        return CellQuery(
             workload=evaluation.spec.name,
             method=method,
-            gpu=gpu_cfg,
-            launches=evaluation.launches(gpu_cfg.generation),
+            gpu=gpu,
+            launches=evaluation.launches(gpu.generation),
             model_error=self.model_error,
             digest=digest,
         )
-        if result is not None:
-            evaluation._cache[key] = result
-        return result
 
-    def transfer_probe(
+    def _chain(
+        self, evaluation: WorkloadEvaluation, method: str, gpu: GPUConfig | None
+    ) -> list[Estimator]:
+        """The estimators that may answer this cell, in consult order."""
+        if gpu is None:
+            return []
+        chain = [e for e in self.estimators if method in e.config.methods]
+        if chain and self._transfer_viable(evaluation, method, gpu):
+            return chain
+        return []
+
+    def _estimate_consult(
+        self,
+        evaluation: WorkloadEvaluation,
+        key: RunKey,
+        gpu: GPUConfig | None,
+        digest: str,
+    ) -> EstimatedResult | None:
+        """The first estimator answer for one cell; None escalates."""
+        chain = self._chain(evaluation, key.method, gpu)
+        if not chain:
+            return None
+        query = self._query(evaluation, key.method, gpu, digest)
+        for estimator in chain:
+            result = estimator.consult(query)
+            if result is not None:
+                return result
+        return None
+
+    def _estimate_observe(
+        self,
+        evaluation: WorkloadEvaluation,
+        key: RunKey,
+        gpu: GPUConfig | None,
+        digest: str,
+        result: object,
+    ) -> None:
+        """Feed one computed result to every estimator covering its method."""
+        if gpu is None or not isinstance(result, AppRunResult):
+            return
+        chain = [e for e in self.estimators if key.method in e.config.methods]
+        if not chain:
+            return
+        query = self._query(evaluation, key.method, gpu, digest)
+
+        def kernel_cycles() -> dict[tuple[int, int], float]:
+            # Per-group DES ground truth, harvested from the simulator's
+            # full-run memo the compute just populated.
+            return self.simulator(gpu).memoized_kernel_cycles()
+
+        for estimator in chain:
+            estimator.observe(query, result, kernel_cycles)
+
+    def estimate_probe(
         self, workload: str, method: str, gpu: GPUConfig | str | None = None
-    ) -> TransferResult | None:
-        """Submission-time transfer answer for one cell, or None.
+    ) -> EstimatedResult | None:
+        """Submission-time estimator answer for one cell, or None.
 
         The serving scheduler calls this right after its digest-cache
-        probe misses: a :class:`TransferResult` completes the job
-        without queueing (the warm path), None escalates to the normal
-        compute pipeline.  Nothing is simulated either way — at most the
-        workload's launch list is built once and memoized.
+        probe misses: an :class:`~repro.estimator.EstimatedResult`
+        (transfer or prediction) completes the job without queueing,
+        None escalates to the compute pipeline.  No simulator runs
+        either way — at most the workload's launch list is built once
+        and memoized.
         """
-        if self.semcache is None:
-            return None
-        if method not in self.semcache.config.methods:
+        if not self.estimators:
             return None
         evaluation = self.evaluation(workload)
         if isinstance(gpu, str):
             gpu = get_gpu(gpu)
         key = evaluation.cell_key(method, gpu)
         memoized = evaluation._cache.get(key)
-        if isinstance(memoized, TransferResult):
-            return memoized
         if memoized is not None:
-            return None  # a real result exists; other probes serve it
+            # A real result exists; other probes serve it.
+            return memoized if isinstance(memoized, EstimatedResult) else None
         gpu_cfg, generations = self._cell_geometry(method, gpu)
-        if gpu_cfg is None or not self._transfer_viable(
-            evaluation, method, gpu_cfg
-        ):
+        if not self._chain(evaluation, method, gpu_cfg):
             return None
         digest = self._cell_digest(evaluation, key, gpu_cfg, generations)
-        result = self.semcache.consult(
-            workload=evaluation.spec.name,
-            method=method,
-            gpu=gpu_cfg,
-            launches=evaluation.launches(gpu_cfg.generation),
-            digest=digest,
-        )
+        result = self._estimate_consult(evaluation, key, gpu_cfg, digest)
         if result is not None:
             evaluation._cache[key] = result
         return result
@@ -978,34 +905,8 @@ class EvaluationHarness:
                     in_worker=crash_in_process,
                 )
             else:
-                cache_root = (
-                    self.run_cache.root
-                    if isinstance(self.run_cache, RunCache)
-                    else None
-                )
-                # Only portable intra specs (str/int) cross the process
-                # boundary; a live backend object stays parent-side and
-                # workers fall back to serial intra execution — the
-                # results are bitwise identical either way.
-                intra_spec = (
-                    self.intra_jobs
-                    if isinstance(self.intra_jobs, (str, int))
-                    else None
-                )
-                payloads = [
-                    (
-                        self.pka.config,
-                        self.model_error,
-                        self.instruction_budget,
-                        cache_root,
-                        self.validation_mode,
-                        intra_spec,
-                        self._semcache_config,
-                        self._predict_config,
-                        cell,
-                    )
-                    for cell in normalized
-                ]
+                spec = self.spec()
+                payloads = [(spec, cell) for cell in normalized]
                 run_tasks = getattr(self.backend, "run_tasks", None)
                 if run_tasks is None:
                     outcomes = _run_tasks_inline(
@@ -1064,16 +965,11 @@ class EvaluationHarness:
         skipped = sum(1 for result in results if result is None)
         if skipped:
             obs_count("harness.cells_skipped", skipped)
-        transferred = sum(
-            1 for result in results if isinstance(result, TransferResult)
-        )
-        if transferred:
-            obs_count("harness.cells_transferred", transferred)
-        predicted = sum(
-            1 for result in results if isinstance(result, PredictedResult)
-        )
-        if predicted:
-            obs_count("harness.cells_predicted", predicted)
+        sources = [result_source(result) for result in results]
+        if sources.count("transfer"):
+            obs_count("harness.cells_transferred", sources.count("transfer"))
+        if sources.count("predicted"):
+            obs_count("harness.cells_predicted", sources.count("predicted"))
         obs_count(
             "harness.cells_completed",
             len(results) - len(failures) - skipped,
@@ -1096,16 +992,7 @@ class EvaluationHarness:
             {"cells": labels, "context": self.context_fingerprint()}
         )
         failed_labels = {failure.label for failure in failures}
-        transferred_labels = [
-            label
-            for label, result in zip(labels, results, strict=True)
-            if isinstance(result, TransferResult)
-        ]
-        predicted_labels = [
-            label
-            for label, result in zip(labels, results, strict=True)
-            if isinstance(result, PredictedResult)
-        ]
+        sources = [result_source(result) for result in results]
         manifest = {
             "sweep_id": sweep_id,
             "total_cells": len(labels),
@@ -1115,20 +1002,26 @@ class EvaluationHarness:
             "failures": [failure.to_record() for failure in failures],
             # Cells answered by the semantic cache's similarity transfer
             # (no DES ran; the result carries a modeled error bound).
-            "transferred": transferred_labels,
+            "transferred": [
+                label
+                for label, source in zip(labels, sources, strict=True)
+                if source == "transfer"
+            ],
             # Cells answered by the prediction tiers (no DES ran; the
             # result carries a modeled error bound and the tier name).
-            "predicted": predicted_labels,
+            "predicted": [
+                label
+                for label, source in zip(labels, sources, strict=True)
+                if source == "predicted"
+            ],
             # Cache-side integrity events observed by *this process* so
             # far: entries moved to <cache>/quarantine/ plus refused
             # schema stamps (workers record their own in their caches).
             "cache_quarantined": list(self.run_cache.quarantine_log),
             "cache_schema_mismatches": self.run_cache.schema_mismatches,
         }
-        if self.semcache is not None:
-            manifest["semcache"] = self.semcache.snapshot()
-        if self.predict is not None:
-            manifest["predict"] = self.predict.snapshot()
+        for estimator in self.estimators:
+            manifest[estimator.name] = estimator.snapshot()
         tracer = get_tracer()
         if tracer.enabled:
             # Snapshot the counters so the run summary written next to a
@@ -1147,39 +1040,8 @@ _WORKER_HARNESSES: dict[tuple, EvaluationHarness] = {}
 
 def _evaluate_cell_task(payload: tuple):
     """Worker: compute one evaluation cell with a process-local harness."""
-    (
-        config,
-        model_error,
-        instruction_budget,
-        cache_root,
-        mode,
-        intra_spec,
-        semcache_config,
-        predict_config,
-        cell,
-    ) = payload
-    workload, method, gpu = cell
-    key = (
-        config,
-        model_error,
-        instruction_budget,
-        cache_root,
-        mode,
-        intra_spec,
-        semcache_config,
-        predict_config,
-    )
-    harness = _WORKER_HARNESSES.get(key)
+    spec, (workload, method, gpu) = payload
+    harness = _WORKER_HARNESSES.get(spec)
     if harness is None:
-        harness = EvaluationHarness(
-            config,
-            model_error,
-            instruction_budget,
-            cache_dir=cache_root,
-            validation_mode=mode,
-            intra_jobs=intra_spec,
-            semcache=semcache_config,
-            predict=predict_config,
-        )
-        _WORKER_HARNESSES[key] = harness
+        harness = _WORKER_HARNESSES[spec] = EvaluationHarness.from_spec(spec)
     return harness.evaluation(workload).compute_cell(method, gpu)

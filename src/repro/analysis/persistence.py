@@ -381,22 +381,13 @@ class NullRunCache:
     def put_manifest(self, sweep_id: str, document: dict) -> None:
         return None
 
-    def get_semcache_state(self, context: str) -> dict | None:
+    def get_state(self, kind: str, context: str) -> dict | None:
         return None
 
-    def put_semcache_state(self, context: str, document: dict) -> None:
+    def put_state(self, kind: str, context: str, document: dict) -> None:
         return None
 
-    def semcache_state_mtime(self, context: str) -> float | None:
-        return None
-
-    def get_predict_state(self, context: str) -> dict | None:
-        return None
-
-    def put_predict_state(self, context: str, document: dict) -> None:
-        return None
-
-    def predict_state_mtime(self, context: str) -> float | None:
+    def state_mtime(self, kind: str, context: str) -> float | None:
         return None
 
     def __repr__(self) -> str:
@@ -595,43 +586,63 @@ class RunCache:
         self._note_hit()
         return payload
 
-    def _write(self, digest: str, kind: str, payload) -> None:
-        document = {
+    def _envelope(self, kind: str, payload) -> dict:
+        return {
             "kind": kind,
             "schema": CACHE_SCHEMA_VERSION,
             "payload": payload,
             "sha256": self._payload_checksum(payload),
         }
+
+    def _store(self, path: Path, key: str, document: dict, indent=None) -> bool:
+        """Write one document atomically (temp file + rename); True when it
+        reached disk.
+
+        The one writer behind entries, manifests and estimator state.  A
+        degraded store — or a write that fails and degrades it — keeps
+        the document in the in-process overlay under ``key`` instead.
+        """
         if self.degraded:
-            self._memory[digest] = document
-            self._note_write()
-            return
-        path = self._path(digest)
-        text = json.dumps(document, sort_keys=True)
+            self._memory[key] = document
+            return False
+        text = json.dumps(document, sort_keys=True, indent=indent)
+        tmp_name = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             handle, tmp_name = tempfile.mkstemp(
-                prefix=f".{digest[:8]}.", suffix=".tmp", dir=path.parent
+                prefix=f".{path.stem[:8]}.", suffix=".tmp", dir=path.parent
             )
-        except OSError as exc:
-            self._degrade(exc)
-            self._memory[digest] = document
-            self._note_write()
-            return
-        try:
             with os.fdopen(handle, "w", encoding="utf-8") as stream:
                 stream.write(text)
             os.replace(tmp_name, path)
         except OSError as exc:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+            if tmp_name is not None:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
             self._degrade(exc)
-            self._memory[digest] = document
-        else:
-            if self.max_bytes is not None:
-                self._maybe_evict(protect=digest)
+            self._memory[key] = document
+            return False
+        return True
+
+    def _load(self, path: Path, key: str) -> dict | None:
+        """The overlay or on-disk document at ``path`` (None when absent or
+        not even JSON)."""
+        overlay = self._memory.get(key)
+        if overlay is not None:
+            return overlay
+        try:
+            document = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
+        return document if isinstance(document, dict) else None
+
+    def _write(self, digest: str, kind: str, payload) -> None:
+        document = self._envelope(kind, payload)
+        stored = self._store(self._path(digest), digest, document)
+        if stored and self.max_bytes is not None:
+            self._maybe_evict(protect=digest)
         self._note_write()
 
     # -- size accounting and LRU eviction ---------------------------------
@@ -736,75 +747,42 @@ class RunCache:
 
     def get_manifest(self, sweep_id: str) -> dict | None:
         """The last recorded manifest of one sweep, or None."""
-        overlay = self._memory.get(f"manifest:{sweep_id}")
-        if overlay is not None:
-            return overlay["payload"]
-        try:
-            document = json.loads(
-                self._manifest_path(sweep_id).read_text(encoding="utf-8")
-            )
-            if document.get("kind") != "sweep_manifest":
-                return None
-            return document["payload"]
-        except (OSError, ValueError, KeyError, TypeError):
+        document = self._load(
+            self._manifest_path(sweep_id), f"manifest:{sweep_id}"
+        )
+        if document is None or document.get("kind") != "sweep_manifest":
             return None
+        return document.get("payload")
 
     def put_manifest(self, sweep_id: str, document: dict) -> None:
         """Record a sweep's completion/quarantine state, atomically."""
-        if self.degraded:
-            self._memory[f"manifest:{sweep_id}"] = {
-                "kind": "sweep_manifest",
-                "payload": document,
-            }
-            return
-        path = self._manifest_path(sweep_id)
-        text = json.dumps(
-            {"kind": "sweep_manifest", "payload": document}, sort_keys=True, indent=2
+        self._store(
+            self._manifest_path(sweep_id),
+            f"manifest:{sweep_id}",
+            {"kind": "sweep_manifest", "payload": document},
+            indent=2,
         )
-        tmp_name = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                prefix=f".{sweep_id[:8]}.", suffix=".tmp", dir=path.parent
-            )
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(text)
-            os.replace(tmp_name, path)
-        except OSError as exc:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            self._degrade(exc)
-            self._memory[f"manifest:{sweep_id}"] = {
-                "kind": "sweep_manifest",
-                "payload": document,
-            }
 
-    # -- semantic-cache index state ----------------------------------------
+    # -- estimator state ----------------------------------------------------
 
-    def _semcache_path(self, context: str) -> Path:
-        return self.root / "semcache" / f"{context[:32]}.json"
+    def _state_path(self, kind: str, context: str) -> Path:
+        return self.root / kind / f"{context[:32]}.json"
 
-    def get_semcache_state(self, context: str) -> dict | None:
-        """The similarity index for one harness context, or None.
+    def get_state(self, kind: str, context: str) -> dict | None:
+        """One estimator's state document for one harness context, or None.
 
-        Carries the same integrity envelope as run entries (schema stamp
-        + payload checksum); a corrupt or foreign-schema state is simply
-        discarded — the index is derived data and rebuilds itself.
+        ``kind`` names the estimator (``semcache``, ``predict``).  The
+        document carries the same integrity envelope as run entries
+        (schema stamp + payload checksum); a corrupt or foreign-schema
+        state is simply discarded — estimator state is derived data that
+        rebuilds itself from computed runs.
         """
-        overlay = self._memory.get(f"semcache:{context}")
-        if overlay is not None:
-            return overlay["payload"]
-        try:
-            document = json.loads(
-                self._semcache_path(context).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return None
+        document = self._load(
+            self._state_path(kind, context), f"{kind}:{context}"
+        )
         if (
-            document.get("kind") != "semcache_state"
+            document is None
+            or document.get("kind") != f"{kind}_state"
             or document.get("schema") != CACHE_SCHEMA_VERSION
         ):
             return None
@@ -815,127 +793,26 @@ class RunCache:
             return None
         return payload
 
-    def put_semcache_state(self, context: str, document: dict) -> None:
-        """Persist one context's similarity index, atomically.
+    def put_state(self, kind: str, context: str, document: dict) -> None:
+        """Persist one estimator's state document, atomically.
 
-        Lives under ``<root>/semcache/`` — outside the two-hex entry
+        Lives under ``<root>/<kind>/`` — outside the two-hex entry
         directories, so like manifests it is never counted against
         ``max_bytes`` nor LRU-evicted.
         """
-        envelope = {
-            "kind": "semcache_state",
-            "schema": CACHE_SCHEMA_VERSION,
-            "payload": document,
-            "sha256": self._payload_checksum(document),
-        }
-        if self.degraded:
-            self._memory[f"semcache:{context}"] = envelope
-            return
-        path = self._semcache_path(context)
-        text = json.dumps(envelope, sort_keys=True)
-        tmp_name = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                prefix=f".{context[:8]}.", suffix=".tmp", dir=path.parent
-            )
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(text)
-            os.replace(tmp_name, path)
-        except OSError as exc:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            self._degrade(exc)
-            self._memory[f"semcache:{context}"] = envelope
+        self._store(
+            self._state_path(kind, context),
+            f"{kind}:{context}",
+            self._envelope(f"{kind}_state", document),
+        )
 
-    def semcache_state_mtime(self, context: str) -> float | None:
+    def state_mtime(self, kind: str, context: str) -> float | None:
         """Staleness probe: the state file's mtime (None when absent or
         when the store is degraded to memory)."""
         if self.degraded:
             return None
         try:
-            return self._semcache_path(context).stat().st_mtime
-        except OSError:
-            return None
-
-    # -- prediction-tier calibration state ---------------------------------
-
-    def _predict_path(self, context: str) -> Path:
-        return self.root / "predict" / f"{context[:32]}.json"
-
-    def get_predict_state(self, context: str) -> dict | None:
-        """The prediction-tier calibration for one harness context.
-
-        Same integrity envelope as run entries; corrupt or foreign-schema
-        states are discarded — calibration is derived data that re-warms
-        from computed runs.
-        """
-        overlay = self._memory.get(f"predict:{context}")
-        if overlay is not None:
-            return overlay["payload"]
-        try:
-            document = json.loads(
-                self._predict_path(context).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return None
-        if (
-            document.get("kind") != "predict_state"
-            or document.get("schema") != CACHE_SCHEMA_VERSION
-        ):
-            return None
-        payload = document.get("payload")
-        if payload is None or document.get("sha256") != self._payload_checksum(
-            payload
-        ):
-            return None
-        return payload
-
-    def put_predict_state(self, context: str, document: dict) -> None:
-        """Persist one context's prediction calibration, atomically.
-
-        Lives under ``<root>/predict/`` — like manifests and semcache
-        state, never counted against ``max_bytes`` nor LRU-evicted.
-        """
-        envelope = {
-            "kind": "predict_state",
-            "schema": CACHE_SCHEMA_VERSION,
-            "payload": document,
-            "sha256": self._payload_checksum(document),
-        }
-        if self.degraded:
-            self._memory[f"predict:{context}"] = envelope
-            return
-        path = self._predict_path(context)
-        text = json.dumps(envelope, sort_keys=True)
-        tmp_name = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                prefix=f".{context[:8]}.", suffix=".tmp", dir=path.parent
-            )
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(text)
-            os.replace(tmp_name, path)
-        except OSError as exc:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            self._degrade(exc)
-            self._memory[f"predict:{context}"] = envelope
-
-    def predict_state_mtime(self, context: str) -> float | None:
-        """Staleness probe: the state file's mtime (None when absent or
-        when the store is degraded to memory)."""
-        if self.degraded:
-            return None
-        try:
-            return self._predict_path(context).stat().st_mtime
+            return self._state_path(kind, context).stat().st_mtime
         except OSError:
             return None
 

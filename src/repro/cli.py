@@ -109,6 +109,7 @@ import sys
 from repro.analysis import (
     CellFailure,
     EvaluationHarness,
+    SemanticCacheConfig,
     abs_pct_error,
     figure1_time_landscape,
     figure4_group_composition,
@@ -125,6 +126,7 @@ from repro.analysis import (
 )
 from repro.errors import ReproError, TaskFailureError
 from repro.gpu import get_gpu
+from repro.predict import PredictConfig
 from repro.sim.faults import FaultPlan
 from repro.sim.parallel import FaultPolicy
 from repro.workloads import get_workload, iter_workloads
@@ -134,6 +136,14 @@ __all__ = ["main"]
 #: Exit codes beyond 0/1: partial sweep completion and interruption.
 EXIT_PARTIAL = 3
 EXIT_INTERRUPTED = 130
+
+
+def _estimator_config(args: argparse.Namespace, flag: str, config_cls, **knobs):
+    """The config ``--<flag>`` enables (None when off or ``--no-<flag>``
+    overrides it), with every knob flag that was given applied."""
+    if not getattr(args, flag, False) or getattr(args, f"no_{flag}", False):
+        return None
+    return config_cls(**{k: v for k, v in knobs.items() if v is not None})
 
 
 def _harness_from_args(args: argparse.Namespace) -> EvaluationHarness:
@@ -159,16 +169,18 @@ def _harness_from_args(args: argparse.Namespace) -> EvaluationHarness:
         validation_mode=(
             "lenient" if getattr(args, "lenient", False) else "strict"
         ),
-        semcache=(
-            getattr(args, "semcache", False)
-            and not getattr(args, "no_semcache", False)
+        semcache=_estimator_config(
+            args,
+            "semcache",
+            SemanticCacheConfig,
+            transfer_threshold=getattr(args, "transfer_threshold", None),
         ),
-        transfer_threshold=getattr(args, "transfer_threshold", None),
-        predict=(
-            getattr(args, "predict", False)
-            and not getattr(args, "no_predict", False)
+        predict=_estimator_config(
+            args,
+            "predict",
+            PredictConfig,
+            max_error_bound=getattr(args, "predict_max_bound", None),
         ),
-        predict_max_bound=getattr(args, "predict_max_bound", None),
     )
     # Remember the harness so --trace-out can embed the sweep manifest
     # into the run summary after the handler returns.
@@ -468,7 +480,7 @@ def _cmd_trace_plan(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import write_report
 
-    path = write_report(args.output)
+    path = write_report(args.output, _harness_from_args(args))
     print(f"report written to {path}")
     return 0
 

@@ -26,8 +26,8 @@ single-kernel app keeps its full per-kernel dispersion:
 Every served estimate is remembered against its cell digest; when a
 computed ground truth later arrives for that digest (predict disabled,
 another process escalated), the realized error is recorded against the
-advertised bound — the same observed-error feedback loop the semantic
-cache keeps.  Predictions are memoized in memory only and never written
+advertised bound — the observed-error feedback loop every
+:class:`~repro.estimator.Estimator` keeps.  Predictions are memoized in memory only and never written
 to the digest cache, and prediction answers are never ingested as
 training data: the exact cache stays exact and the model never trains
 on its own output.
@@ -36,15 +36,13 @@ on its own output.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ReproError
+from repro.estimator import CellQuery, EstimatedResult, Estimator
 from repro.gpu.architectures import GPUConfig
 from repro.gpu.kernels import KernelLaunch
-from repro.obs import obs_count
 from repro.predict.analytical import (
     AppEstimate,
     ResidualCalibration,
@@ -60,7 +58,6 @@ __all__ = [
     "PredictConfig",
     "PredictTiers",
     "PredictedResult",
-    "resolve_predict_config",
 ]
 
 #: Bump when the state document layout changes; mismatched states are
@@ -77,7 +74,7 @@ PREDICTABLE_METHODS = ("full_sim",)
 
 
 @dataclass(frozen=True)
-class PredictedResult(AppRunResult):
+class PredictedResult(EstimatedResult):
     """An :class:`AppRunResult` served by a prediction tier.
 
     ``simulated_cycles`` is zero — no event loop ran.
@@ -86,8 +83,24 @@ class PredictedResult(AppRunResult):
     the tier ("analytical" or "surrogate").
     """
 
+    source: ClassVar[str] = "predicted"
+
     prediction_error_bound: float = 0.0
     predicted_by: str = ""
+
+    @property
+    def error_bound(self) -> float:
+        return self.prediction_error_bound
+
+    @property
+    def tier(self) -> str:
+        return self.predicted_by
+
+    def wire(self) -> dict:
+        return {
+            "error_bound": self.prediction_error_bound,
+            "predicted_by": self.predicted_by,
+        }
 
 
 @dataclass(frozen=True)
@@ -150,159 +163,70 @@ class _Partition:
         )
 
 
-class PredictTiers:
-    """The two estimator tiers plus their escalation bookkeeping.
+class PredictTiers(Estimator):
+    """The two estimator tiers plus their serve/escalate decision.
 
-    One instance serves one harness (one context fingerprint).  State
-    persists through the harness's run cache under
-    ``<cache>/predict/<context>.json`` — LRU-exempt like manifests —
-    and is merged back on load, so worker processes sharing a cache
-    directory pool their calibration.  All public methods are
-    thread-safe (the serving scheduler consults from request threads).
+    State persists through the harness's run cache under
+    ``<cache>/predict/<context>.json``; the lock, the ledger
+    (``predictions + escalations == lookups``) and observed-error
+    tracking come from :class:`~repro.estimator.Estimator`.
     """
 
+    name = "predict"
+    state_version = PREDICT_STATE_VERSION
+    answered = "predictions"
+    answer_tiers = ("analytical", "surrogate")
+    escalation_reasons = ("cold", "coverage", "bound")
+    error_section = "prediction_error"
+
     def __init__(self, config: PredictConfig, run_cache, context: str) -> None:
-        self.config = config
-        self.run_cache = run_cache
-        self.context = context
+        super().__init__(config, run_cache, context)
         self._partitions: dict[str, _Partition] = {}
-        self._predictions: dict[str, tuple[float, float]] = {}
-        self._lock = threading.RLock()
-        self._loaded = False
-        self._state_mtime: float | None = None
-        # Tallies (also mirrored into obs counters under "predict.").
-        self.lookups = 0
-        self.predictions = 0
-        self.predictions_analytical = 0
-        self.predictions_surrogate = 0
-        self.escalations_cold = 0
-        self.escalations_coverage = 0
-        self.escalations_bound = 0
-        self.observations = 0
-        self.observed_errors: list[float] = []
-        self.observed_violations = 0
 
-    # -- tallies ---------------------------------------------------------
-
-    @property
-    def escalations(self) -> int:
-        return (
-            self.escalations_cold
-            + self.escalations_coverage
-            + self.escalations_bound
-        )
-
-    def snapshot(self) -> dict:
-        """JSON-ready metrics section (the ``/metricsz`` ``predict`` block).
-
-        ``reconciles`` asserts the lookup ledger: every consult either
-        predicted or escalated — ``predictions + escalations ==
-        lookups`` exactly.
-        """
-        with self._lock:
-            errors = list(self.observed_errors)
-            rows = sum(
-                len(partition.surrogate.rows)
-                for partition in self._partitions.values()
-            )
-            samples = sum(
-                partition.calibration.samples
-                for partition in self._partitions.values()
-            )
-            return {
-                "enabled": True,
-                "max_error_bound": self.config.max_error_bound,
-                "partitions": len(self._partitions),
-                "calibration_samples": samples,
-                "training_rows": rows,
-                "lookups": self.lookups,
-                "predictions": self.predictions,
-                "predictions_analytical": self.predictions_analytical,
-                "predictions_surrogate": self.predictions_surrogate,
-                "escalations": self.escalations,
-                "escalations_cold": self.escalations_cold,
-                "escalations_coverage": self.escalations_coverage,
-                "escalations_bound": self.escalations_bound,
-                "observations": self.observations,
-                "reconciles": self.predictions + self.escalations
-                == self.lookups,
-                "prediction_error": {
-                    "samples": len(errors),
-                    "observed_mean": (
-                        float(np.mean(errors)) if errors else None
-                    ),
-                    "observed_max": float(max(errors)) if errors else None,
-                    "violations": self.observed_violations,
-                },
-            }
+    def _index_stats(self) -> dict:
+        partitions = self._partitions.values()
+        return {
+            "max_error_bound": self.config.max_error_bound,
+            "partitions": len(self._partitions),
+            "calibration_samples": sum(p.calibration.samples for p in partitions),
+            "training_rows": sum(len(p.surrogate.rows) for p in partitions),
+        }
 
     # -- the prediction decision ------------------------------------------
 
-    def consult(
-        self,
-        *,
-        workload: str,
-        method: str,
-        gpu: GPUConfig,
-        launches: list[KernelLaunch],
-        model_error: ModelErrorConfig,
-        digest: str,
-    ) -> PredictedResult | None:
-        """Try to answer a cold cell by prediction; None escalates.
-
-        Counts exactly one lookup, and exactly one of prediction /
-        escalation — the ledger ``snapshot()`` reconciles.
-        """
-        if method not in self.config.methods:
-            return None
-        with self._lock:
-            self._load_if_stale()
-            self.lookups += 1
-            obs_count("predict.lookups")
-            estimate = price_app(launches, gpu, model_error)
-            if not estimate.groups or estimate.total_cycles <= 0:
-                return self._escalate("coverage")
-            partition = self._partitions.get(
-                self._partition_key(method, gpu)
-            )
-            if partition is None:
-                return self._escalate("cold")
-            candidates: list[tuple[float, float, str]] = []
-            analytical = self._analytical_bound(partition, estimate)
-            if analytical is not None:
-                candidates.append(
-                    (analytical, estimate.total_cycles, "analytical")
-                )
-            surrogate = self._surrogate_estimate(partition, estimate)
-            if surrogate is not None:
-                bound, cycles = surrogate
-                candidates.append((bound, cycles, "surrogate"))
-            if not candidates:
-                return self._escalate("cold")
-            bound, cycles, tier = min(candidates, key=lambda c: c[0])
-            if bound > self.config.max_error_bound:
-                return self._escalate("bound")
-            result = PredictedResult(
-                workload=workload,
-                gpu=gpu,
-                method=method,
-                total_cycles=float(cycles),
-                total_instructions=float(estimate.total_instructions),
-                total_dram_bytes=float(estimate.total_dram_bytes),
-                simulated_cycles=0.0,
-                prediction_error_bound=float(bound),
-                predicted_by=tier,
-            )
-            self._predictions[digest] = (float(cycles), float(bound))
-            self.predictions += 1
-            obs_count("predict.predictions")
-            if tier == "analytical":
-                self.predictions_analytical += 1
-                obs_count("predict.predictions_analytical")
-            else:
-                self.predictions_surrogate += 1
-                obs_count("predict.predictions_surrogate")
-            return result
+    def _answer(self, query: CellQuery) -> PredictedResult | str:
+        estimate = price_app(query.launches, query.gpu, query.model_error)
+        if not estimate.groups or estimate.total_cycles <= 0:
+            return "coverage"
+        partition = self._partitions.get(
+            self._partition_key(query.method, query.gpu)
+        )
+        if partition is None:
+            return "cold"
+        candidates: list[tuple[float, float, str]] = []
+        analytical = self._analytical_bound(partition, estimate)
+        if analytical is not None:
+            candidates.append((analytical, estimate.total_cycles, "analytical"))
+        surrogate = self._surrogate_estimate(partition, estimate)
+        if surrogate is not None:
+            bound, cycles = surrogate
+            candidates.append((bound, cycles, "surrogate"))
+        if not candidates:
+            return "cold"
+        bound, cycles, tier = min(candidates, key=lambda c: c[0])
+        if bound > self.config.max_error_bound:
+            return "bound"
+        return PredictedResult(
+            workload=query.workload,
+            gpu=query.gpu,
+            method=query.method,
+            total_cycles=float(cycles),
+            total_instructions=float(estimate.total_instructions),
+            total_dram_bytes=float(estimate.total_dram_bytes),
+            simulated_cycles=0.0,
+            prediction_error_bound=float(bound),
+            predicted_by=tier,
+        )
 
     def tier_estimates(
         self,
@@ -397,109 +321,36 @@ class PredictTiers:
         )
         return bound, total
 
-    def _escalate(self, kind: str) -> None:
-        if kind == "cold":
-            self.escalations_cold += 1
-        elif kind == "coverage":
-            self.escalations_coverage += 1
-        else:
-            self.escalations_bound += 1
-        obs_count("predict.escalations")
-        obs_count(f"predict.escalations_{kind}")
-        return None
-
     # -- calibration growth -----------------------------------------------
 
-    def observe(
-        self,
-        *,
-        workload: str,
-        method: str,
-        gpu: GPUConfig,
-        launches: list[KernelLaunch],
-        model_error: ModelErrorConfig,
-        digest: str,
-        result: AppRunResult,
-        kernel_cycles: dict[tuple[int, int], float] | None = None,
-    ) -> None:
-        """Ingest one *computed* run's ground truth and persist state.
+    def _ingest(self, query: CellQuery, result: AppRunResult, kernel_cycles) -> None:
+        """Per-group residuals against the DES's memoized per-kernel cycles
+        (keyed by spec signature and grid blocks) feed the calibration
+        and the surrogate's training rows.  Without them only the
+        observed-error feedback is recorded."""
+        truth = kernel_cycles() if kernel_cycles is not None else None
+        if not truth:
+            return
+        partition = self._partitions.setdefault(
+            self._partition_key(query.method, query.gpu), _Partition(self.config)
+        )
+        estimate = price_app(query.launches, query.gpu, query.model_error)
+        ingested = False
+        for group in estimate.groups:
+            cycles = truth.get((group.signature, group.grid_blocks))
+            if cycles is None or cycles <= 0 or group.cycles <= 0:
+                continue
+            log_residual = math.log(cycles / group.cycles)
+            partition.calibration.observe(group.bucket, log_residual)
+            partition.surrogate.add_row(group.counters, log_residual)
+            ingested = True
+        if ingested:
+            partition.calibration.apps_observed += 1
 
-        ``kernel_cycles`` maps (spec signature, grid blocks) to the
-        DES's memoized per-kernel cycles — per-group residuals feed the
-        calibration and the surrogate's training rows.  Without it only
-        the observed-error feedback (realized vs advertised bound) is
-        recorded.  Prediction answers are never ingested.
-        """
-        if method not in self.config.methods:
-            return
-        if isinstance(result, PredictedResult):
-            return
-        if result.total_cycles <= 0:
-            return
-        with self._lock:
-            self._load_if_stale()
-            self._track_observed_error(digest, result)
-            if kernel_cycles:
-                key = self._partition_key(method, gpu)
-                partition = self._partitions.setdefault(
-                    key, _Partition(self.config)
-                )
-                estimate = price_app(launches, gpu, model_error)
-                ingested = False
-                for group in estimate.groups:
-                    truth = kernel_cycles.get(
-                        (group.signature, group.grid_blocks)
-                    )
-                    if truth is None or truth <= 0 or group.cycles <= 0:
-                        continue
-                    log_residual = math.log(truth / group.cycles)
-                    partition.calibration.observe(group.bucket, log_residual)
-                    partition.surrogate.add_row(group.counters, log_residual)
-                    ingested = True
-                if ingested:
-                    partition.calibration.apps_observed += 1
-            self.observations += 1
-            obs_count("predict.observations")
-            self._persist()
+    # -- state document ------------------------------------------------------
 
-    def _track_observed_error(self, digest: str, result: AppRunResult) -> None:
-        """A computed ground truth arrived for a digest we once answered
-        by prediction (an operator disabled predict, or another process
-        escalated): record the realized error against the advertised
-        bound."""
-        prediction = self._predictions.pop(digest, None)
-        if prediction is None or result.total_cycles <= 0:
-            return
-        predicted, bound = prediction
-        error = abs(predicted - result.total_cycles) / result.total_cycles
-        self.observed_errors.append(error)
-        obs_count("predict.observed_samples")
-        if error > bound:
-            self.observed_violations += 1
-            obs_count("predict.observed_violations")
-
-    # -- persistence -------------------------------------------------------
-
-    @staticmethod
-    def _partition_key(method: str, gpu: GPUConfig) -> str:
-        return f"{method}@{gpu.name}"
-
-    def _load_if_stale(self) -> None:
-        """Merge on-disk state written by other processes (mtime-gated)."""
-        getter = getattr(self.run_cache, "get_predict_state", None)
-        if getter is None:
-            self._loaded = True
-            return
-        mtime = getattr(self.run_cache, "predict_state_mtime", None)
-        current = mtime(self.context) if mtime is not None else None
-        if self._loaded and current == self._state_mtime:
-            return
-        document = getter(self.context)
-        self._loaded = True
-        self._state_mtime = current
-        if not document or document.get("version") != PREDICT_STATE_VERSION:
-            return
-        for key, state in document.get("partitions", {}).items():
+    def _merge_state(self, partitions: dict) -> None:
+        for key, state in partitions.items():
             try:
                 calibration = ResidualCalibration.from_state(
                     state.get("calibration", {}),
@@ -522,38 +373,11 @@ class PredictTiers:
                 partition.calibration.merge(calibration)
                 partition.surrogate.merge(surrogate)
 
-    def _persist(self) -> None:
-        putter = getattr(self.run_cache, "put_predict_state", None)
-        if putter is None:
-            return
-        document = {
-            "version": PREDICT_STATE_VERSION,
-            "context": self.context,
-            "partitions": {
-                key: {
-                    "calibration": partition.calibration.to_state(),
-                    "surrogate": partition.surrogate.to_state(),
-                }
-                for key, partition in self._partitions.items()
-            },
+    def _dump_state(self) -> dict:
+        return {
+            key: {
+                "calibration": partition.calibration.to_state(),
+                "surrogate": partition.surrogate.to_state(),
+            }
+            for key, partition in self._partitions.items()
         }
-        putter(self.context, document)
-        mtime = getattr(self.run_cache, "predict_state_mtime", None)
-        if mtime is not None:
-            self._state_mtime = mtime(self.context)
-
-
-def resolve_predict_config(
-    predict: PredictConfig | bool | None,
-    max_error_bound: float | None = None,
-) -> PredictConfig | None:
-    """Normalize the harness/CLI-facing spec into a config (or None=off)."""
-    if isinstance(predict, PredictConfig):
-        config = predict
-    elif predict:
-        config = PredictConfig()
-    else:
-        return None
-    if max_error_bound is not None:
-        config = replace(config, max_error_bound=max_error_bound)
-    return config

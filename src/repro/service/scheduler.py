@@ -16,6 +16,10 @@ client beyond latency:
   what keeps cache-hit p95 latency in single-digit milliseconds.
   Fault-carrying jobs skip the probe (and get salted ids): an injected
   fault must actually reach the backend, not be satisfied from cache.
+  A digest miss then asks the harness's estimator chain (semantic
+  cache, then prediction tiers): an answer within its error bound also
+  completes the job at submission (``source = "transfer"`` /
+  ``"predicted"``).
 
 * **Batching.**  The dispatcher lingers briefly to coalesce a burst of
   submissions into one :meth:`~repro.analysis.harness.
@@ -63,6 +67,7 @@ from repro.errors import (
     ServiceError,
     WorkersUnavailableError,
 )
+from repro.estimator import result_source
 from repro.obs import get_tracer, now_us, obs_count, span_percentiles
 from repro.service.jobs import (
     JobRecord,
@@ -75,6 +80,12 @@ from repro.service.queue import JobQueue
 from repro.sim.faults import FaultPlan, InjectedFault
 
 __all__ = ["Scheduler"]
+
+#: Submission-time probe-hit counter per estimator ``source`` label.
+_ESTIMATE_HITS = {
+    "transfer": "service.transfer_hits",
+    "predicted": "service.predict_hits",
+}
 
 
 class Scheduler:
@@ -455,20 +466,11 @@ class Scheduler:
         if request.fault is None and self._probe_cache(record, digest):
             obs_count("service.cache_hits")
             return record, True
-        # Semantic-cache warm path: a digest miss whose kernels are all
-        # covered by already-simulated clusters is answered by transfer
-        # and completes right here — it never queues and never runs the
-        # DES.  Declined lookups (coverage or bound escalations) fall
-        # through to the normal compute pipeline below.
-        if request.fault is None and self._probe_transfer(record, digest):
-            obs_count("service.transfer_hits")
-            return record, True
-        # Prediction warm path: both exact and similarity probes missed,
-        # but the prediction tiers can price the cell within their error
-        # bound — the job completes at submission without any event
-        # loop.  Escalations fall through to the compute pipeline.
-        if request.fault is None and self._probe_predict(record, digest):
-            obs_count("service.predict_hits")
+        # Estimator warm path: a digest miss the chain can answer within
+        # its error bound (similarity transfer, then prediction) completes
+        # right here — it never queues and never runs the DES.
+        # Escalations fall through to the normal compute pipeline below.
+        if request.fault is None and self._probe_estimate(record, digest):
             return record, True
         # Circuit breaker: a cold cell cannot complete while every
         # worker is down — shed it now with retry advice instead of
@@ -548,50 +550,24 @@ class Scheduler:
         self._complete(record, "done", result=cached, source="cache")
         return True
 
-    def _probe_transfer(self, record: JobRecord, digest: str) -> bool:
-        """Complete the job by similarity transfer if the index covers it.
+    def _probe_estimate(self, record: JobRecord, digest: str) -> bool:
+        """Complete the job from the estimator chain if it answers.
 
         Mirrors :meth:`_probe_cache`'s durability contract: the accepted
         record is journaled before the completion, so replay accounting
-        holds for transfer answers too.
+        holds for estimated answers too.
         """
-        if getattr(self.harness, "semcache", None) is None:
-            return False
-        transfer = self.harness.transfer_probe(
-            record.request.workload, record.request.method, record.request.gpu
+        request = record.request
+        estimate = self.harness.estimate_probe(
+            request.workload, request.method, request.gpu
         )
-        if transfer is None:
+        if estimate is None:
             return False
         self._journal_event(
-            "accepted",
-            record,
-            request=record.request.to_document(),
-            digest=digest,
+            "accepted", record, request=request.to_document(), digest=digest
         )
-        self._complete(record, "done", result=transfer, source="transfer")
-        return True
-
-    def _probe_predict(self, record: JobRecord, digest: str) -> bool:
-        """Complete the job from the prediction tiers if they can serve
-        it within their configured error bound.
-
-        Same durability contract as the other submit-time probes: the
-        accepted record is journaled before the completion.
-        """
-        if getattr(self.harness, "predict", None) is None:
-            return False
-        predicted = self.harness.predict_probe(
-            record.request.workload, record.request.method, record.request.gpu
-        )
-        if predicted is None:
-            return False
-        self._journal_event(
-            "accepted",
-            record,
-            request=record.request.to_document(),
-            digest=digest,
-        )
-        self._complete(record, "done", result=predicted, source="predicted")
+        self._complete(record, "done", result=estimate)
+        obs_count(_ESTIMATE_HITS[estimate.source])
         return True
 
     def get(self, job_id: str) -> JobRecord:
@@ -706,7 +682,7 @@ class Scheduler:
         result=None,
         error: dict | None = None,
         attempts: int | None = None,
-        source: str | None = "computed",
+        source: str | None = None,
     ) -> None:
         """Terminal completion from a fleet worker's reported outcome."""
         state = "failed" if error is not None else "done"
@@ -764,12 +740,7 @@ class Scheduler:
         def progress(outcome) -> None:
             # Job-granular completion: don't make job 1 wait for job 32.
             if outcome.ok:
-                self._complete(
-                    ready[outcome.index],
-                    "done",
-                    result=outcome.value,
-                    source="computed",
-                )
+                self._complete(ready[outcome.index], "done", result=outcome.value)
 
         results = self.harness.evaluate_cells(
             cells, strict=False, fault_plan=plan, progress=progress
@@ -785,7 +756,7 @@ class Scheduler:
                     attempts=result.attempts,
                 )
             else:
-                self._complete(record, "done", result=result, source="computed")
+                self._complete(record, "done", result=result)
 
     def _complete(
         self,
@@ -797,6 +768,11 @@ class Scheduler:
         attempts: int | None = None,
         source: str | None = None,
     ) -> None:
+        """Record one terminal transition.  A ``done`` job's ``source``
+        defaults to what its result is: ``transfer`` / ``predicted`` for
+        estimator answers, ``computed`` otherwise."""
+        if state == "done" and source is None:
+            source = result_source(result)
         with self._lock:
             if record.terminal:
                 return
@@ -857,27 +833,13 @@ class Scheduler:
         }
         cache = self.harness.run_cache
         lookups = cache.hits + cache.misses
-        latency = {
-            "all": span_percentiles(tracer, "service.job"),
-            "cache": span_percentiles(
-                tracer, "service.job", where=lambda args: args.get("source") == "cache"
-            ),
-            "computed": span_percentiles(
+        latency = {"all": span_percentiles(tracer, "service.job")}
+        for source in ("cache", "computed", "transfer", "predicted"):
+            latency[source] = span_percentiles(
                 tracer,
                 "service.job",
-                where=lambda args: args.get("source") == "computed",
-            ),
-            "transfer": span_percentiles(
-                tracer,
-                "service.job",
-                where=lambda args: args.get("source") == "transfer",
-            ),
-            "predicted": span_percentiles(
-                tracer,
-                "service.job",
-                where=lambda args: args.get("source") == "predicted",
-            ),
-        }
+                where=lambda args, source=source: args.get("source") == source,
+            )
         oldest_us = self.queue.oldest_submitted_us()
         queue_age = span_percentiles(tracer, "service.queue_wait")
         queue_age["oldest_wait_s"] = (
@@ -911,14 +873,11 @@ class Scheduler:
             },
             "latency_ms": latency,
         }
-        semcache = getattr(self.harness, "semcache", None)
-        document["semcache"] = (
-            semcache.snapshot() if semcache is not None else {"enabled": False}
-        )
-        predict = getattr(self.harness, "predict", None)
-        document["predict"] = (
-            predict.snapshot() if predict is not None else {"enabled": False}
-        )
+        for name in ("semcache", "predict"):
+            estimator = getattr(self.harness, name)
+            document[name] = (
+                estimator.snapshot() if estimator is not None else {"enabled": False}
+            )
         if self.supervisor is not None:
             document["workers"] = self.supervisor.snapshot()
         if self.autoscaler is not None:

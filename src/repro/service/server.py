@@ -55,9 +55,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.analysis.harness import EvaluationHarness
 from repro.analysis.persistence import dump_run, dump_selection
-from repro.analysis.semcache import TransferResult
 from repro.core.pka import KernelSelection
-from repro.predict import PredictedResult
 from repro.errors import (
     DeadlineUnattainableError,
     InvalidJobRequestError,
@@ -68,6 +66,7 @@ from repro.errors import (
     ServiceError,
     WorkersUnavailableError,
 )
+from repro.estimator import EstimatedResult
 from repro.obs import enable as obs_enable, get_tracer
 from repro.service.autoscaler import Autoscaler, AutoscalerConfig
 from repro.service.jobs import JobRecord, JobRequest
@@ -119,21 +118,13 @@ def _result_document(record: JobRecord) -> dict:
         "result_kind": kind,
         "result": payload,
     }
-    if isinstance(result, TransferResult):
-        # Transfer answers keep the app_run wire shape (clients parse
-        # them unchanged; job.source == "transfer" tells them apart) and
-        # additionally advertise the modeled bound and provenance.
-        document["transfer"] = {
-            "error_bound": result.transfer_error_bound,
-            "transferred_from": list(result.transferred_from),
-        }
-    if isinstance(result, PredictedResult):
-        # Same contract for prediction answers: app_run wire shape,
-        # job.source == "predicted", plus bound and answering tier.
-        document["predicted"] = {
-            "error_bound": result.prediction_error_bound,
-            "predicted_by": result.predicted_by,
-        }
+    if isinstance(result, EstimatedResult):
+        # Estimator answers keep the app_run wire shape (clients parse
+        # them unchanged; job.source tells them apart) and additionally
+        # advertise the modeled bound and provenance under a block named
+        # after their source: "transfer" {error_bound, transferred_from}
+        # or "predicted" {error_bound, predicted_by}.
+        document[result.source] = result.wire()
     return document
 
 
@@ -430,9 +421,6 @@ class PKAService:
         self.scheduler.close()
         self._httpd.shutdown()
         self._httpd.server_close()
-        backend_close = getattr(self.harness.backend, "close", None)
-        if backend_close is not None:
-            backend_close()
 
     def __enter__(self) -> "PKAService":
         return self.start()

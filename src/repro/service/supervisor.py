@@ -43,13 +43,13 @@ from typing import TYPE_CHECKING, Any
 
 from repro.analysis.harness import EvaluationHarness
 from repro.analysis.persistence import (
-    RunCache,
     dump_run,
     dump_selection,
     load_run,
     load_selection,
 )
 from repro.core.pka import KernelSelection
+from repro.estimator import EstimatedResult
 from repro.obs import obs_count
 from repro.service.jobs import JobRecord, parse_job_fault
 from repro.sim.faults import FaultPlan, InjectedFault
@@ -72,7 +72,7 @@ def _worker_main(
     generation: int,
     task_queue,
     event_queue,
-    harness_args: tuple,
+    harness_spec: tuple,
     heartbeat_interval: float,
     parent_pid: int,
 ) -> None:
@@ -84,17 +84,7 @@ def _worker_main(
     so they genuinely ``os._exit`` this process: that is how poison jobs
     kill real workers and exercise the supervisor.
     """
-    config, model_error, instruction_budget, cache_root, mode, intra_spec = (
-        harness_args
-    )
-    harness = EvaluationHarness(
-        config,
-        model_error,
-        instruction_budget,
-        cache_dir=cache_root,
-        validation_mode=mode,
-        intra_jobs=intra_spec,
-    )
+    harness = EvaluationHarness.from_spec(harness_spec)
     stop = threading.Event()
 
     def beat() -> None:
@@ -153,6 +143,10 @@ def _serialize_result(result: Any) -> dict:
             "failure": result.to_record(),
             "attempts": result.attempts,
         }
+    if isinstance(result, EstimatedResult):
+        # Estimator answers cross as themselves (frozen dataclasses
+        # pickle) so the coordinator labels them by type.
+        return {"ok": True, "kind": "estimate", "value": result}
     if isinstance(result, AppRunResult):
         return {"ok": True, "kind": "app_run", "text": dump_run(result)}
     if isinstance(result, KernelSelection):
@@ -161,6 +155,8 @@ def _serialize_result(result: Any) -> dict:
 
 
 def _deserialize_result(payload: dict) -> Any:
+    if payload.get("kind") == "estimate":
+        return payload["value"]
     if payload.get("kind") == "app_run":
         return load_run(payload["text"])
     if payload.get("kind") == "selection":
@@ -343,27 +339,6 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     # Spawning
 
-    def _harness_args(self) -> tuple:
-        harness = self.harness
-        cache_root = (
-            harness.run_cache.root
-            if isinstance(harness.run_cache, RunCache)
-            else None
-        )
-        intra_spec = (
-            harness.intra_jobs
-            if isinstance(harness.intra_jobs, (str, int))
-            else None
-        )
-        return (
-            harness.pka.config,
-            harness.model_error,
-            harness.instruction_budget,
-            cache_root,
-            harness.validation_mode,
-            intra_spec,
-        )
-
     def _spawn_locked(self, slot: _WorkerSlot, now: float) -> None:
         slot.generation += 1
         slot.task_queue = self._ctx.Queue()
@@ -375,7 +350,7 @@ class WorkerSupervisor:
                 slot.generation,
                 slot.task_queue,
                 self._events,
-                self._harness_args(),
+                self.harness.spec(),
                 self.heartbeat_interval,
                 os.getpid(),
             ),
@@ -672,9 +647,7 @@ class WorkerSupervisor:
         except Exception:
             return  # job evaporated (should not happen); nothing to complete
         if payload.get("ok"):
-            scheduler.finish(
-                record, result=_deserialize_result(payload), source="computed"
-            )
+            scheduler.finish(record, result=_deserialize_result(payload))
         else:
             scheduler.finish(
                 record,

@@ -438,43 +438,10 @@ class ProcessPoolBackend:
     :class:`~repro.errors.TaskTimeoutError`.
     """
 
-    def __init__(self, jobs: int | None = None, *, persistent: bool = False) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         if jobs is not None and jobs < 1:
             raise ConfigurationError("jobs must be >= 1 (or None for auto)")
         self.jobs = jobs if jobs is not None else auto_worker_count()
-        #: With ``persistent=True`` one executor (and its warm workers,
-        #: with their per-process simulator/harness caches) is kept alive
-        #: across ``run_tasks`` calls instead of being rebuilt per round —
-        #: what a long-lived server wants.  The pool is discarded and
-        #: lazily rebuilt after a worker crash or a timeout kill, since a
-        #: broken executor cannot be reused.  Call :meth:`close` when done.
-        self.persistent = persistent
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _acquire_pool(self, workers: int) -> tuple[ProcessPoolExecutor, bool]:
-        """The executor for one round, and whether it is round-scoped."""
-        if not self.persistent:
-            return (
-                ProcessPoolExecutor(
-                    max_workers=workers, mp_context=self._context()
-                ),
-                True,
-            )
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=self._context()
-            )
-            obs_count("backend.pool_starts")
-        return self._pool, False
-
-    def _discard_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def close(self) -> None:
-        """Shut down the persistent pool (no-op in round-scoped mode)."""
-        self._discard_pool()
 
     def map_tasks(
         self, fn: Callable[[Any], Any], items: Iterable[Any]
@@ -608,7 +575,7 @@ class ProcessPoolBackend:
         true deadline by at most one poll interval.
         """
         workers = min(self.jobs, len(states))
-        pool, round_scoped = self._acquire_pool(workers)
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=self._context())
         results: dict[int, tuple[str, Any]] = {}
         futures: dict[Future, _TaskState] = {}
         timed_out: set[Future] = set()
@@ -680,13 +647,7 @@ class ProcessPoolBackend:
                         process.terminate()
                     except OSError:
                         pass
-            if round_scoped:
-                pool.shutdown(wait=True, cancel_futures=True)
-            elif timed_out or broken:
-                # A persistent pool that lost workers (crash) or had them
-                # terminated (hang) is unusable; discard it so the next
-                # round lazily builds a fresh one.
-                self._discard_pool()
+            pool.shutdown(wait=True, cancel_futures=True)
         return [results[state.index] for state in states]
 
     @staticmethod
@@ -697,8 +658,7 @@ class ProcessPoolBackend:
         return multiprocessing.get_context("fork" if "fork" in methods else None)
 
     def __repr__(self) -> str:
-        suffix = ", persistent=True" if self.persistent else ""
-        return f"ProcessPoolBackend(jobs={self.jobs}{suffix})"
+        return f"ProcessPoolBackend(jobs={self.jobs})"
 
 
 def resolve_backend(

@@ -25,7 +25,6 @@ from repro.predict import (
     PredictConfig,
     PredictedResult,
     price_app,
-    resolve_predict_config,
 )
 
 #: Three completable apps to calibrate on (min_calibration defaults to 3).
@@ -117,31 +116,31 @@ class TestPrediction:
 
     def test_prediction_never_trains_the_tiers(self, harness):
         _warm(harness)
-        observations = harness.predict.observations
+        observations = harness.predict.ledger["observations"]
         result = harness.evaluation(NEAR).full_sim()
         assert isinstance(result, PredictedResult)
-        assert harness.predict.observations == observations
+        assert harness.predict.ledger["observations"] == observations
 
     def test_predict_probe_public_path(self, harness):
         _warm(harness)
-        probed = harness.predict_probe(NEAR, "full_sim")
+        probed = harness.estimate_probe(NEAR, "full_sim")
         assert isinstance(probed, PredictedResult)
         assert harness.evaluation(NEAR).full_sim() is probed
 
     def test_probe_returns_none_for_computed_cell(self, harness):
         _warm(harness)
-        assert harness.predict_probe(TRAIN[0], "full_sim") is None
+        assert harness.estimate_probe(TRAIN[0], "full_sim") is None
 
     def test_nonpredictable_method_bypasses(self, harness):
-        assert harness.predict_probe("atax", "pka_sim") is None
-        assert harness.predict_probe("atax", "selection") is None
-        assert harness.predict.lookups == 0
+        assert harness.estimate_probe("atax", "pka_sim") is None
+        assert harness.estimate_probe("atax", "selection") is None
+        assert harness.predict.ledger["lookups"] == 0
 
 
 class TestEscalation:
     def test_cold_tiers_escalate(self, harness):
-        assert harness.predict_probe(NEAR, "full_sim") is None
-        assert harness.predict.escalations_cold == 1
+        assert harness.estimate_probe(NEAR, "full_sim") is None
+        assert harness.predict.ledger["escalations_cold"] == 1
 
     def test_escalated_result_is_bitwise_identical(self, harness, tmp_path):
         # A cold consult escalates to the DES; the computed result must
@@ -163,12 +162,12 @@ class TestEscalation:
             backend="serial", cache_dir=tmp_path / "cache", predict=config
         )
         _warm(harness)
-        assert harness.predict_probe(NEAR, "full_sim") is None
-        assert harness.predict.escalations_bound == 1
+        assert harness.estimate_probe(NEAR, "full_sim") is None
+        assert harness.predict.ledger["escalations_bound"] == 1
 
     def test_ledger_reconciles(self, harness):
         _warm(harness)  # three cold escalations while calibrating
-        harness.predict_probe(NEAR, "full_sim")  # prediction
+        harness.estimate_probe(NEAR, "full_sim")  # prediction
         snap = harness.predict.snapshot()
         assert snap["reconciles"] is True
         assert snap["lookups"] == snap["predictions"] + snap["escalations"]
@@ -185,7 +184,7 @@ class TestPersistence:
         second = EvaluationHarness(
             backend="serial", cache_dir=tmp_path / "cache", predict=True
         )
-        result = second.predict_probe(NEAR, "full_sim")
+        result = second.estimate_probe(NEAR, "full_sim")
         assert isinstance(result, PredictedResult)
 
     def test_state_file_is_lru_exempt_location(self, tmp_path):
@@ -213,24 +212,27 @@ class TestPersistence:
             backend="serial", cache_dir=tmp_path / "cache", predict=True
         )
         # Corrupt state means cold tiers: escalate, don't crash.
-        assert second.predict_probe(NEAR, "full_sim") is None
-        assert second.predict.escalations_cold == 1
+        assert second.estimate_probe(NEAR, "full_sim") is None
+        assert second.predict.ledger["escalations_cold"] == 1
 
 
 class TestConfig:
     def test_defaults_resolve(self):
-        config = resolve_predict_config(True)
+        config = EvaluationHarness(predict=True).predict.config
         assert config == PredictConfig()
-        assert resolve_predict_config(None) is None
-        assert resolve_predict_config(False) is None
+        assert EvaluationHarness(predict=None).predict is None
+        assert EvaluationHarness(predict=False).predict is None
 
     def test_bound_override(self):
-        config = resolve_predict_config(True, max_error_bound=0.1)
+        from repro.cli import _harness_from_args, build_parser
+
+        def predict_config(*flags):
+            args = build_parser().parse_args(["simulate", NEAR, *flags])
+            return _harness_from_args(args).predict.config
+
+        config = predict_config("--predict", "--predict-max-bound", "0.1")
         assert config.max_error_bound == 0.1
-        passthrough = PredictConfig(error_floor=0.01)
-        resolved = resolve_predict_config(passthrough, max_error_bound=0.2)
-        assert resolved.error_floor == 0.01
-        assert resolved.max_error_bound == 0.2
+        assert predict_config("--predict") == PredictConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -253,7 +255,7 @@ class TestConfig:
     def test_harness_without_predict_has_none(self, tmp_path):
         harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "c")
         assert harness.predict is None
-        assert harness.predict_probe(NEAR, "full_sim") is None
+        assert harness.estimate_probe(NEAR, "full_sim") is None
 
 
 class TestSurrogateModel:

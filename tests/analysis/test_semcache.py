@@ -13,11 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import EvaluationHarness
-from repro.analysis.semcache import (
-    SemanticCacheConfig,
-    TransferResult,
-    resolve_semcache_config,
-)
+from repro.analysis.semcache import SemanticCacheConfig, TransferResult
 from repro.errors import ReproError
 
 BASE = "atax"
@@ -58,7 +54,7 @@ class TestTransfer:
         first = harness.evaluation(NEAR).pka_sim()
         again = harness.evaluation(NEAR).pka_sim()
         assert again is first  # memory memo, no second lookup
-        assert harness.semcache.transfers == 1
+        assert harness.semcache.ledger["transfers"] == 1
 
     def test_digest_cache_stays_exact(self, harness):
         harness.evaluation(BASE).pka_sim()
@@ -79,7 +75,7 @@ class TestTransfer:
 
     def test_transfer_probe_public_path(self, harness):
         harness.evaluation(BASE).pka_sim()
-        probed = harness.transfer_probe(NEAR, "pka_sim")
+        probed = harness.estimate_probe(NEAR, "pka_sim")
         assert isinstance(probed, TransferResult)
         # The probe memoizes: the accessor now serves the same object.
         assert harness.evaluation(NEAR).pka_sim() is probed
@@ -87,24 +83,24 @@ class TestTransfer:
     def test_probe_returns_none_for_computed_cell(self, harness):
         donor = harness.evaluation(BASE).pka_sim()
         assert donor is not None
-        assert harness.transfer_probe(BASE, "pka_sim") is None
+        assert harness.estimate_probe(BASE, "pka_sim") is None
 
     def test_nontransferable_method_bypasses(self, harness):
-        assert harness.transfer_probe(BASE, "selection") is None
-        assert harness.transfer_probe(BASE, "first_1b") is None
-        assert harness.semcache.lookups == 0
+        assert harness.estimate_probe(BASE, "selection") is None
+        assert harness.estimate_probe(BASE, "first_1b") is None
+        assert harness.semcache.ledger["lookups"] == 0
 
 
 class TestEscalation:
     def test_empty_index_escalates_coverage(self, harness):
-        assert harness.transfer_probe(NEAR, "pka_sim") is None
-        assert harness.semcache.escalations_coverage == 1
+        assert harness.estimate_probe(NEAR, "pka_sim") is None
+        assert harness.semcache.ledger["escalations_coverage"] == 1
 
     def test_dissimilar_workload_escalates_coverage(self, harness):
         harness.evaluation(BASE).pka_sim()
-        before = harness.semcache.escalations_coverage
-        assert harness.transfer_probe(FAR, "pka_sim") is None
-        assert harness.semcache.escalations_coverage == before + 1
+        before = harness.semcache.ledger["escalations_coverage"]
+        assert harness.estimate_probe(FAR, "pka_sim") is None
+        assert harness.semcache.ledger["escalations_coverage"] == before + 1
 
     def test_tight_bound_escalates(self, tmp_path):
         config = SemanticCacheConfig(max_error_bound=0.1501, error_floor=0.15)
@@ -112,13 +108,13 @@ class TestEscalation:
             backend="serial", cache_dir=tmp_path / "cache", semcache=config
         )
         harness.evaluation(BASE).pka_sim()
-        assert harness.transfer_probe(NEAR, "pka_sim") is None
-        assert harness.semcache.escalations_bound == 1
+        assert harness.estimate_probe(NEAR, "pka_sim") is None
+        assert harness.semcache.ledger["escalations_bound"] == 1
 
     def test_ledger_reconciles(self, harness):
         harness.evaluation(BASE).pka_sim()
-        harness.transfer_probe(NEAR, "pka_sim")  # transfer
-        harness.transfer_probe(FAR, "pka_sim")  # coverage escalation
+        harness.estimate_probe(NEAR, "pka_sim")  # transfer
+        harness.estimate_probe(FAR, "pka_sim")  # coverage escalation
         snap = harness.semcache.snapshot()
         assert snap["reconciles"] is True
         assert snap["lookups"] == snap["transfers"] + snap["escalations"]
@@ -138,7 +134,7 @@ class TestPersistence:
         second = EvaluationHarness(
             backend="serial", cache_dir=tmp_path / "cache", semcache=True
         )
-        result = second.transfer_probe("atax~nd2", "pka_sim")
+        result = second.estimate_probe("atax~nd2", "pka_sim")
         assert isinstance(result, TransferResult)
         assert result.transferred_from == (BASE,)
 
@@ -168,24 +164,27 @@ class TestPersistence:
             backend="serial", cache_dir=tmp_path / "cache", semcache=True
         )
         # Corrupt state means an empty index: escalate, don't crash.
-        assert second.transfer_probe(NEAR, "pka_sim") is None
-        assert second.semcache.escalations_coverage == 1
+        assert second.estimate_probe(NEAR, "pka_sim") is None
+        assert second.semcache.ledger["escalations_coverage"] == 1
 
 
 class TestConfig:
     def test_defaults_resolve(self):
-        config = resolve_semcache_config(True)
+        config = EvaluationHarness(semcache=True).semcache.config
         assert config == SemanticCacheConfig()
-        assert resolve_semcache_config(None) is None
-        assert resolve_semcache_config(False) is None
+        assert EvaluationHarness(semcache=None).semcache is None
+        assert EvaluationHarness(semcache=False).semcache is None
 
     def test_threshold_override(self):
-        config = resolve_semcache_config(True, transfer_threshold=0.05)
+        from repro.cli import _harness_from_args, build_parser
+
+        def semcache_config(*flags):
+            args = build_parser().parse_args(["simulate", BASE, *flags])
+            return _harness_from_args(args).semcache.config
+
+        config = semcache_config("--semcache", "--transfer-threshold", "0.05")
         assert config.transfer_threshold == 0.05
-        passthrough = SemanticCacheConfig(max_error_bound=0.5)
-        resolved = resolve_semcache_config(passthrough, transfer_threshold=0.1)
-        assert resolved.max_error_bound == 0.5
-        assert resolved.transfer_threshold == 0.1
+        assert semcache_config("--semcache") == SemanticCacheConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -206,4 +205,4 @@ class TestConfig:
     def test_harness_without_semcache_has_none(self, tmp_path):
         harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "c")
         assert harness.semcache is None
-        assert harness.transfer_probe(NEAR, "pka_sim") is None
+        assert harness.estimate_probe(NEAR, "pka_sim") is None

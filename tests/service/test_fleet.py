@@ -102,6 +102,33 @@ class TestFleetBasics:
             service.close()
 
 
+    def test_fleet_workers_feed_the_semantic_cache(self, tmp_path):
+        """Workers rebuild their harness with the coordinator's estimator
+        configs: a base computed in a worker donates to the similarity
+        index, so its near duplicate is answered by transfer."""
+        harness = EvaluationHarness(
+            backend="serial", cache_dir=tmp_path / "cache", semcache=True
+        )
+        service = PKAService(harness, port=0, workers=1)
+        service.start()
+        try:
+            client = ServiceClient(port=service.port, timeout=10.0)
+            base = client.submit_and_wait(
+                JobRequest(workload="atax", method="pka_sim"), timeout=120.0
+            )
+            assert base["job"]["source"] == "computed"
+            near = client.submit_and_wait(
+                JobRequest(workload="atax~nd1", method="pka_sim"), timeout=120.0
+            )
+            assert near["job"]["source"] == "transfer"
+            assert near["transfer"]["transferred_from"] == ["atax"]
+            semcache = client.metrics()["semcache"]
+            assert semcache["transfers"] == 1
+            assert semcache["reconciles"] is True
+        finally:
+            service.close()
+
+
 class TestWorkerCrashRecovery:
     def test_transient_crash_kills_worker_then_completes(self, tmp_path):
         """A ``crash`` fault SIGKILLs the worker running it; the

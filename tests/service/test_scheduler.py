@@ -136,6 +136,30 @@ class TestCacheFastPath:
         assert scheduler.queue.depth == 1
 
 
+class TestSourceLabels:
+    def test_batch_answer_labelled_by_result_type(self, tmp_path):
+        """A job queued while the estimator chain was cold, but answered
+        by it when its batch runs, completes as a transfer and never
+        feeds the service-time estimator."""
+        harness = EvaluationHarness(
+            backend="serial", cache_dir=tmp_path / "cache", semcache=True
+        )
+        scheduler = Scheduler(harness)  # not started: the job stays queued
+        record, _ = scheduler.submit(
+            JobRequest(workload="atax~nd1", method="pka_sim")
+        )
+        assert record.state == "queued"
+        harness.evaluation("atax").pka_sim()  # the donor arrives
+        scheduler.start()
+        try:
+            _wait_terminal(record, timeout=120.0)
+        finally:
+            scheduler.close()
+        assert record.state == "done"
+        assert record.source == "transfer"
+        assert scheduler.service_time_ewma_s is None
+
+
 class TestValidationAndBackpressure:
     def test_unknown_workload_rejected_typed(self, cached_harness):
         scheduler = Scheduler(cached_harness)

@@ -175,6 +175,28 @@ class TestInterrupt:
         assert output.exists()
         assert "## Table 4" in output.read_text(encoding="utf-8")
 
+    def test_report_applies_harness_flags(self, capsys, tmp_path, monkeypatch):
+        import repro.analysis
+
+        received = {}
+
+        def fake_write_report(path, harness=None):
+            received["harness"] = harness
+            return path
+
+        monkeypatch.setattr(repro.analysis, "write_report", fake_write_report)
+        argv = [
+            "report", "--output", str(tmp_path / "report.md"),
+            "--cache-dir", str(tmp_path / "cache"),
+            "--semcache", "--transfer-threshold", "0.1",
+            "--predict", "--predict-max-bound", "0.2",
+        ]
+        assert main(argv) == 0
+        harness = received["harness"]
+        assert harness.run_cache.root == tmp_path / "cache"
+        assert harness.semcache.config.transfer_threshold == 0.1
+        assert harness.predict.config.max_error_bound == 0.2
+
     def test_inspect(self, capsys):
         assert main(["inspect", "histo"]) == 0
         out = capsys.readouterr().out
